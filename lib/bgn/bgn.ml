@@ -95,11 +95,28 @@ let add1 (pk : public_key) (a : c1) (b : c1) : c1 =
 
 let neg1 (pk : public_key) (a : c1) : c1 = Curve.neg pk.group.Pairing.curve a
 
+(* Many level-1 sums at once: one field inversion for the batch instead
+   of one per addition. [bgn.add1] counts the additions. *)
+let sum1_batch (pk : public_key) (lists : c1 list array) : c1 array =
+  Metrics.add m_add1 (Array.fold_left (fun acc l -> acc + max 0 (List.length l - 1)) 0 lists);
+  Curve.sum_batch pk.group.Pairing.curve lists
+
+(* [signed pk k] is (negate, m) with m ≡ ±k (mod n) the representative
+   of least magnitude: scaling by k > n/2 is scaling by n − k, then
+   negating. Ciphertexts have order dividing n, so the two agree, and
+   small negative coefficients (−1 mod n above all) become cheap. *)
+let signed (pk : public_key) (k : Z.t) : bool * Z.t =
+  let k = Z.erem k (n pk) in
+  let nk = Z.sub (n pk) k in
+  if Z.lt nk k then (true, nk) else (false, k)
+
 (* Multiply a ciphertext by a plaintext scalar (the ⊗-by-plaintext the
    paper uses for polynomial coefficients). *)
 let smul1 (pk : public_key) (k : Z.t) (a : c1) : c1 =
   Metrics.incr m_smul1;
-  Curve.mul pk.group.Pairing.curve (Z.erem k (n pk)) a
+  let negate, m = signed pk k in
+  let r = if Z.equal m Z.one then a else Curve.mul pk.group.Pairing.curve m a in
+  if negate then neg1 pk r else r
 
 let zero1 : c1 = Curve.Infinity
 
@@ -119,9 +136,13 @@ let add2 (pk : public_key) (a : c2) (b : c2) : c2 =
   Metrics.incr m_add2;
   Fp2.mul ~p:pk.group.Pairing.p a b
 
+(* Level-2 ciphertexts lie in μ_n, where conjugation is inversion. *)
 let smul2 (pk : public_key) (k : Z.t) (a : c2) : c2 =
   Metrics.incr m_smul2;
-  Fp2.pow ~p:pk.group.Pairing.p a (Z.erem k (n pk))
+  let p = pk.group.Pairing.p in
+  let negate, m = signed pk k in
+  let r = if Z.equal m Z.one then a else Fp2.pow ~p a m in
+  if negate then Fp2.conj ~p r else r
 
 let zero2 : c2 = Fp2.one
 
@@ -140,9 +161,11 @@ let mul (pk : public_key) (a : c1) (b : c1) : c2 =
    shares one interleaved Miller loop and a single final exponentiation
    instead of paying one per term. The precomputed variant additionally
    skips the per-term Miller ladder for left arguments that repeat
-   across calls (SAGMA pairs each encrypted value against every block
-   constant). Counters: [bgn.mul] advances by the full list length —
-   the same as calling {!mul} termwise — so cost models are unchanged. *)
+   across calls. [mul_each] computes separate products instead, sharing
+   one ladder per left argument (SAGMA pairs each encrypted value with
+   all of its row's monomials). Counters: [bgn.mul] advances by the
+   number of products — the same as calling {!mul} termwise — so cost
+   models are unchanged. *)
 
 type precomp1 = Pairing.Precomp.t
 
@@ -151,6 +174,10 @@ let precompute1 (pk : public_key) (a : c1) : precomp1 = Pairing.precompute pk.gr
 let mul_many_pre (pk : public_key) (pairs : (precomp1 * c1) list) : c2 =
   Metrics.add m_mul (List.length pairs);
   Pairing.pairing_prod pk.group pairs
+
+let mul_each (pk : public_key) (jobs : (c1 * c1 array) array) : c2 array array =
+  Metrics.add m_mul (Array.fold_left (fun acc (_, bs) -> acc + Array.length bs) 0 jobs);
+  Pairing.pairing_many pk.group jobs
 
 let mul_many (pk : public_key) (pairs : (c1 * c1) list) : c2 =
   Metrics.add m_mul (List.length pairs);

@@ -50,9 +50,16 @@ val enc1_int : public_key -> Drbg.t -> int -> c1
 val add1 : public_key -> c1 -> c1 -> c1
 val neg1 : public_key -> c1 -> c1
 
+val sum1_batch : public_key -> c1 list array -> c1 array
+(** [sum1_batch pk [|l1; ...|]] is the ⊕-sum of every list (the empty
+    list sums to {!zero1}), sharing one field inversion across the
+    batch. [bgn.add1] advances by the additions performed, Σ (|lᵢ| − 1). *)
+
 val smul1 : public_key -> Z.t -> c1 -> c1
 (** Multiply the plaintext by a public scalar (the ⊗-by-plaintext used
-    for SAGMA's polynomial coefficients). *)
+    for SAGMA's polynomial coefficients). The scalar is reduced to its
+    signed form first — k > n/2 scales by n − k and negates — so ±1
+    cost no curve arithmetic. *)
 
 val zero1 : c1
 (** The trivial encryption of 0. *)
@@ -64,6 +71,9 @@ val rerandomize1 : public_key -> Drbg.t -> c1 -> c1
 val enc2 : public_key -> Drbg.t -> Z.t -> c2
 val add2 : public_key -> c2 -> c2 -> c2
 val smul2 : public_key -> Z.t -> c2 -> c2
+(** Level-2 {!smul1}: signed scalar, negation by conjugation (inversion
+    on μ_n). *)
+
 val zero2 : c2
 val rerandomize2 : public_key -> Drbg.t -> c2 -> c2
 
@@ -84,9 +94,14 @@ val mul_many : public_key -> (c1 * c1) list -> c2
     as the termwise loop would. *)
 
 val mul_many_pre : public_key -> (precomp1 * c1) list -> c2
-(** Like {!mul_many} for left arguments already precomputed — the hot
-    path of [Scheme.aggregate], which pairs each encrypted value against
-    every block constant of every query. *)
+(** Like {!mul_many} for left arguments already precomputed. *)
+
+val mul_each : public_key -> (c1 * c1 array) array -> c2 array array
+(** [mul_each pk [|(a, [|b1; ...|]); ...|]] is [[|[|a·b1; ...|]; ...|]]:
+    separate level-2 products, each left argument against its own right
+    arguments, through {!Pairing.pairing_many} (one line precomputation
+    per left argument, one batched inversion for the whole call).
+    [bgn.mul] advances by the number of products. *)
 
 (** {1 Decryption}
 

@@ -63,10 +63,9 @@ let scope_names : string array =
   [| "pairing.pairings"; "pairing.miller_steps"; "bgn.mul"; "bgn.dlog.solves";
      "bgn.dlog.giant_steps"; "sse.postings_scanned"; "oxt.postings_scanned";
      "scheme.agg.rows"; "scheme.agg.joint_buckets";
-     (* PR 6 multi-pairing engine: request-scoped so EXPLAIN can show the
-        invm collapse and the precomp/product batching next to the
-        unchanged [pairings] count. *)
-     "pairing.prod_calls"; "pairing.precomp_hits"; "bigint.invm"; "bigint.invm_batch" |]
+     (* The multi-pairing engine: request-scoped so EXPLAIN can show the
+        invm collapse and the batching next to the [pairings] count. *)
+     "pairing.prod_calls"; "bigint.invm"; "bigint.invm_batch" |]
 
 type scope = int Atomic.t array
 

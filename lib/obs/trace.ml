@@ -53,11 +53,12 @@ let cost_fields (c : cost) : (string * int) list =
     ("agg_buckets", c.agg_buckets); ("bytes_in", c.bytes_in); ("bytes_out", c.bytes_out) ]
 
 (* Per-request GC differential, all in words (one word = 8 bytes on
-   64-bit). Word counts come from [Gc.quick_stat], which on OCaml 5 is
-   domain-local for the allocation counters: a request whose row work
-   ran on pool domains undercounts their share, which is the right
-   trade — the numbers are cheap, monotone, and attribute the
-   coordinating domain's allocation exactly. *)
+   64-bit). Minor words come from [Gc.minor_words], the rest from
+   [Gc.quick_stat]; on OCaml 5 both are domain-local for the allocation
+   counters: a request whose row work ran on pool domains undercounts
+   their share, which is the right trade — the numbers are cheap,
+   monotone, and attribute the coordinating domain's allocation
+   exactly. *)
 type gc_delta = {
   gc_minor_words : int;
   gc_promoted_words : int;
@@ -142,9 +143,13 @@ let prof_hook : (string -> int -> unit) option Atomic.t = Atomic.make None
 
 let set_prof_hook h = Atomic.set prof_hook h
 
+(* [Gc.quick_stat]'s minor_words only advances at minor collections on
+   OCaml 5, so anything allocating less than the free part of the minor
+   heap would read 0; [Gc.minor_words] also counts the minor heap's
+   current fill. *)
 let allocated_words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 let current_span_name () : string option =
   let st = Domain.DLS.get state in
@@ -299,8 +304,10 @@ let cost_of_scope (sc : Metrics.scope) : cost =
     agg_rows = g "scheme.agg.rows"; agg_buckets = g "scheme.agg.joint_buckets";
     bytes_in = 0; bytes_out = 0 }
 
-let gc_delta_of ~(before : Gc.stat) ~(after : Gc.stat) : gc_delta =
-  { gc_minor_words = int_of_float (after.Gc.minor_words -. before.Gc.minor_words);
+(* [minor_words] is the exact {!Gc.minor_words} differential (see
+   [allocated_words]); the other fields come from [Gc.quick_stat]. *)
+let gc_delta_of ~(before : Gc.stat) ~(after : Gc.stat) ~(minor_words : float) : gc_delta =
+  { gc_minor_words = int_of_float minor_words;
     gc_promoted_words = int_of_float (after.Gc.promoted_words -. before.Gc.promoted_words);
     gc_major_words = int_of_float (after.Gc.major_words -. before.Gc.major_words);
     gc_minor_collections = after.Gc.minor_collections - before.Gc.minor_collections;
@@ -331,6 +338,7 @@ let with_request_full ?trace_id f =
     let sc = Metrics.scope_create () in
     let saved_scope = Metrics.scope_swap (Some sc) in
     let gc0 = Gc.quick_stat () in
+    let minor0 = Gc.minor_words () in
     let start = now () in
     let root =
       { f_name = "request"; f_start = start; children_rev = [];
@@ -365,7 +373,10 @@ let with_request_full ?trace_id f =
         match Atomic.get prof_hook with Some hook -> hook "request" root_w | None -> ()
       end;
       let sp = { name = "request"; t0 = start; ms; children = List.rev root.children_rev } in
-      let gc = gc_delta_of ~before:gc0 ~after:(Gc.quick_stat ()) in
+      let gc =
+        gc_delta_of ~before:gc0 ~after:(Gc.quick_stat ())
+          ~minor_words:(Gc.minor_words () -. minor0)
+      in
       let alloc = match tab with Some t -> alloc_table_entries t | None -> [] in
       let rt =
         { r_id = id; r_start = start; r_root = sp; r_cost = cost_of_scope sc; r_gc = gc;

@@ -60,10 +60,11 @@ val cost_fields : cost -> (string * int) list
 (** Every cost field with its stable name, declaration order — for log
     events, CLI printing and JSON emitters. *)
 
-(** Per-request [Gc.quick_stat] differential, all in words. The
-    allocation counters are domain-local on OCaml 5, so a request whose
-    row work ran on pool domains reports the coordinating domain's
-    share. *)
+(** Per-request GC differential, all in words: minor words from
+    [Gc.minor_words] (exact, including the minor heap's current fill),
+    the rest from [Gc.quick_stat]. The allocation counters are
+    domain-local on OCaml 5, so a request whose row work ran on pool
+    domains reports the coordinating domain's share. *)
 type gc_delta = {
   gc_minor_words : int;
   gc_promoted_words : int;

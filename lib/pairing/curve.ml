@@ -156,26 +156,17 @@ let mul (cp : params) (k : Z.t) (pt : point) : point =
 
 let mul_int (cp : params) (k : int) (pt : point) : point = mul cp (Z.of_int k) pt
 
-(* Batch scalar multiplication: run every ladder in Jacobian form and
-   normalize all results with one batched inversion (Montgomery's trick
-   in Bigint) instead of one invm per point. *)
-let mul_batch (cp : params) (pairs : (Z.t * point) array) : point array =
+(* Batch summation: each list is added up with mixed Jacobian additions,
+   and all sums are normalized with one batched inversion (Montgomery's
+   trick in Bigint) instead of one invm per addition. *)
+let sum_batch (cp : params) (lists : point list array) : point array =
   let p = cp.p in
   let jacs =
     Array.map
-      (fun (k, pt) ->
-        if Z.sign k < 0 then invalid_arg "Curve.mul_batch: negative scalar";
-        match pt with
-        | Infinity -> jac_infinity
-        | Affine (x, y) ->
-          let nbits = Z.num_bits k in
-          let acc = ref jac_infinity in
-          for i = nbits - 1 downto 0 do
-            acc := jac_double cp !acc;
-            if Z.bit k i then acc := jac_add_affine cp !acc x y
-          done;
-          !acc)
-      pairs
+      (List.fold_left
+         (fun acc pt -> match pt with Infinity -> acc | Affine (x, y) -> jac_add_affine cp acc x y)
+         jac_infinity)
+      lists
   in
   let live = ref [] in
   Array.iteri (fun i q -> if not (Z.is_zero q.jz) then live := i :: !live) jacs;

@@ -32,11 +32,10 @@ val mul : params -> Z.t -> point -> point
 
 val mul_int : params -> int -> point -> point
 
-val mul_batch : params -> (Z.t * point) array -> point array
-(** [mul_batch cp [|(k1, p1); ...|]] computes every [ki·pi] with a single
-    field inversion shared across the batch ({!Z.invm_batch}) instead of
-    one per point — the cheap way to materialize a table of scalar
-    multiples (e.g. per-block constants in the aggregation loop). *)
+val sum_batch : params -> point list array -> point array
+(** [sum_batch cp [|l1; ...|]] is the sum of every list, each added up
+    in Jacobian coordinates, with one field inversion shared across the
+    batch — the cheap way to add many points. *)
 
 val tangent_slope : params -> Z.t -> Z.t -> Z.t
 (** Slope of the tangent at an affine point (used by Miller's algorithm,

@@ -20,6 +20,16 @@
       step {e regardless of the pair count} — and pays exactly {b one
       final exponentiation per call}. Marginal cost per extra pair:
       ~6 Montgomery multiplications per Miller step, no inversions.
+    - The final exponentiation f ↦ f^((p²−1)/n) uses p + 1 = ℓ·n and
+      the Frobenius (f^p = conj f): it is (conj f · f⁻¹)^ℓ, i.e. one
+      F_p inversion of the norm N(f), a few multiplications and a
+      |ℓ|-bit power — not a ~2|p|-bit square-and-multiply.
+    - {!pairing_many} computes a batch of {e separate} pairings, one
+      left argument against several right arguments at a time: one
+      line precomputation per left argument, one Miller value per pair
+      (a squaring plus a line multiplication per step), one final
+      exponentiation per pair, and a single batched inversion
+      ({!Z.invm_batch}) for the whole batch.
     - {!pairing} is [fun g p q -> pairing_prod g [(precompute g p, q)]]:
       still the right call for one-off pairings, but callers that pair a
       fixed left argument repeatedly (or can share a final
@@ -81,6 +91,16 @@ val pairing_prod : group -> (Precomp.t * Curve.point) list -> Fp2.t
     Pairs with an infinity on either side contribute 1; the empty (or
     all-infinity) product is 1. Bumps [pairing.pairings] once per live
     pair and [pairing.prod_calls] once per non-trivial call. *)
+
+val pairing_many : group -> (Curve.point * Curve.point array) array -> Fp2.t array array
+(** [pairing_many g [|(p1, [|q11; ...|]); ...|]] is
+    [[|[|ê(p1, q11); ...|]; ...|]] — separate pairings, not their
+    product. Each left argument's lines are precomputed once and dropped;
+    the whole batch shares one inversion across its final
+    exponentiations. Entries with an infinity on either side are 1.
+    Bumps [pairing.pairings] once per live pair and
+    [pairing.prod_calls] once per call with any live pair (one call
+    into the Miller engine). *)
 
 val pairing : group -> Curve.point -> Curve.point -> Fp2.t
 (** ê(P, Q); returns 1 when either argument is the point at infinity.

@@ -27,6 +27,7 @@ let m_failed = Obs.counter "proto.requests_failed"
 let m_bytes_in = Obs.counter "proto.bytes_in"
 let m_bytes_out = Obs.counter "proto.bytes_out"
 let h_request_ms = Obs.histogram "proto.request_ms"
+let g_pair_cache_bytes = Obs.gauge "scheme.pair_cache.bytes"
 
 (* Registry keys outlive any client's ability to drop them only if we
    let arbitrary strings in; an empty name is invisible in listings and
@@ -52,6 +53,12 @@ type entry = {
   mutable table : Scheme.enc_table;
   post_counts : (string, int) Hashtbl.t;
 }
+
+(* A replaced or dropped table takes its rows' pairing caches with it. *)
+let release (e : entry option) : unit =
+  match e with
+  | Some e when !Obs.enabled -> Obs.gauge_add g_pair_cache_bytes (- Scheme.pair_cache_bytes e.table)
+  | _ -> ()
 
 (* Connection handlers may run on several pool domains at once, so the
    table registry takes a lock around every access. Aggregation — the
@@ -153,19 +160,26 @@ let handle (s : t) (req : Protocol.request) : Protocol.response =
     match validate_table_name name with
     | Some msg -> Protocol.failed Protocol.Bad_request "%s" msg
     | None ->
-      with_lock s (fun () ->
-          Hashtbl.replace s.tables name { table; post_counts = Hashtbl.create 8 });
+      release
+        (with_lock s (fun () ->
+             let old = Hashtbl.find_opt s.tables name in
+             Hashtbl.replace s.tables name { table; post_counts = Hashtbl.create 8 };
+             old));
       Protocol.Ack
   end
   | Protocol.List_tables -> Protocol.Tables (table_names s)
-  | Protocol.Drop name ->
-    if
+  | Protocol.Drop name -> begin
+    match
       with_lock s (fun () ->
-          let existed = Hashtbl.mem s.tables name in
-          if existed then Hashtbl.remove s.tables name;
-          existed)
-    then Protocol.Ack
-    else Protocol.failed Protocol.No_such_table "no such table %S" name
+          let old = Hashtbl.find_opt s.tables name in
+          Hashtbl.remove s.tables name;
+          old)
+    with
+    | Some _ as old ->
+      release old;
+      Protocol.Ack
+    | None -> Protocol.failed Protocol.No_such_table "no such table %S" name
+  end
   | Protocol.Aggregate { name; token } -> begin
     (* Snapshot under the lock, aggregate outside it: concurrent
        requests pay for the lookup, not for each other's pairings. *)

@@ -228,14 +228,12 @@ let simulate (pk : Bgn.public_key) (leak : t) (drbg : Drbg.t) : simulated =
   let zero () = Bgn.enc1_int pk drbg 0 in
   let sim_rows =
     Array.init leak.num_rows (fun _ ->
-        { Scheme.values =
-            Array.init leak.num_value_columns (fun _ ->
-                Array.init leak.num_channels (fun _ -> zero ()));
-          count_ct = zero ();
-          monomial_cts = Array.init leak.num_monomials (fun _ -> zero ());
-          pre_values =
-            Array.init leak.num_value_columns (fun _ -> Array.make leak.num_channels None);
-          pre_count = None })
+        Scheme.make_row
+          ~values:
+            (Array.init leak.num_value_columns (fun _ ->
+                 Array.init leak.num_channels (fun _ -> zero ())))
+          ~count_ct:(zero ())
+          ~monomial_cts:(Array.init leak.num_monomials (fun _ -> zero ())))
   in
   (* One simulated token per distinct search-pattern tag; program its
      postings from the (first-seen) access pattern. *)

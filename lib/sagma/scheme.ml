@@ -8,13 +8,15 @@
    filter keywords.
 
    Query processing (AggGrpBy): the server locates each queried bucket's
-   rows through SSE, intersects them into joint buckets, derives every
-   row's unit-shift indicator values S_r^{(j)} by evaluating public
-   Lagrange coefficients over the encrypted monomials (additive
-   homomorphism only), and pairs them with the value/count ciphertexts —
-   the scheme's single ciphertext multiplication — before summing in the
-   target group. The client decrypts each aggregate with a bounded
-   discrete log and recombines CRT channels.
+   rows through SSE and intersects them into joint buckets. Algorithm 5
+   pairs every row's value/count ciphertext v_r with its unit shift
+   S_r^{(j)} = a₀·g + Σᵢ aᵢ·M_{r,i}, the public Lagrange coefficients
+   evaluated over the encrypted monomials. By bilinearity the server
+   computes the same target-group element as
+   a₀·⊕_r ê(v_r, g) ⊕ Σᵢ aᵢ·⊕_r ê(v_r, M_{r,i}): the pairings depend on
+   the uploaded row alone and are cached on it, and the coefficients
+   scale each bucket's sums once. The client decrypts each aggregate
+   with a bounded discrete log and recombines CRT channels.
 
    The server never sees a group value, only bucket identifiers: the
    leakage is exactly L of §4.2. *)
@@ -40,7 +42,8 @@ module Pool = Sagma_pool.Pool
 let m_enc_rows = Obs.counter "scheme.enc.rows"
 let m_agg_rows = Obs.counter "scheme.agg.rows"
 let m_agg_buckets = Obs.counter "scheme.agg.joint_buckets"
-let m_precomp_hits = Obs.counter "pairing.precomp_hits"
+let m_cache_fills = Obs.counter "scheme.pair_cache.fills"
+let g_cache_bytes = Obs.gauge "scheme.pair_cache.bytes"
 let h_chunk_ms = Obs.histogram "scheme.agg.chunk_ms"
 
 (* --- public parameters and keys (Algorithm 1: Setup) -------------------- *)
@@ -114,15 +117,23 @@ type enc_row = {
   values : Bgn.c1 array array;  (* k × channels: Enc(v_j mod d_c) *)
   count_ct : Bgn.c1;            (* Enc(1); Enc(0) for dummy rows *)
   monomial_cts : Bgn.c1 array;  (* Enc(Π offsets^e) in storage order *)
-  (* Pairing precomputation caches, one slot per value/count ciphertext,
-     filled lazily on first use in [aggregate] and reused across blocks
-     and queries. Never serialized: rebuilt after decoding (one Miller
-     ladder each — cheaper than a single pairing). Updates from pool
-     worker domains race benignly: slots only ever go None → Some of an
-     immutable value, so the worst case is duplicated precomputation. *)
-  pre_values : Bgn.precomp1 option array array;
-  mutable pre_count : Bgn.precomp1 option;
+  (* Reduced pairings ê(left, M_s), filled lazily by [aggregate] and kept
+     for every later query. Left arguments: the value ciphertexts in
+     row-major (column, channel) order, then count_ct. Slots: M_0 = g,
+     then M_{1+i} = monomial_cts.(i). Never serialized: a decoded row
+     starts empty. Updates from pool worker domains race benignly:
+     slots only ever go None → Some of an immutable value, so the worst
+     case is a duplicated fill. *)
+  pair_cache : Bgn.c2 option array array;
 }
+
+let make_row ~(values : Bgn.c1 array array) ~(count_ct : Bgn.c1) ~(monomial_cts : Bgn.c1 array) :
+    enc_row =
+  let lefts = Array.fold_left (fun acc chans -> acc + Array.length chans) 1 values in
+  { values;
+    count_ct;
+    monomial_cts;
+    pair_cache = Array.init lefts (fun _ -> Array.make (1 + Array.length monomial_cts) None) }
 
 type count_mode = Count_level1 | Count_paired
 (* Level-1 counting aggregates the indicators directly (the paper's "count
@@ -159,6 +170,20 @@ type enc_table = {
   index_mode : index_mode;
 }
 
+(* Heap bytes of one pair_cache slot (0 while empty), and of every
+   filled slot of a table: what the scheme.pair_cache.bytes gauge adds
+   on a fill and a server subtracts when it lets a table go. *)
+let slot_bytes (v : Bgn.c2 option) : int =
+  match v with None -> 0 | Some _ -> Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
+
+let pair_cache_bytes (et : enc_table) : int =
+  Array.fold_left
+    (fun acc row ->
+      Array.fold_left
+        (fun acc slots -> Array.fold_left (fun acc v -> acc + slot_bytes v) acc slots)
+        acc row.pair_cache)
+    0 et.rows
+
 (* Encrypt one row given its value-column entries and its group-column
    bucket offsets (Algorithm 3). *)
 let enc_row_raw (c : client) ~(values : int array) ~(offsets : int array) ~(dummy : bool) : enc_row =
@@ -177,11 +202,7 @@ let enc_row_raw (c : client) ~(values : int array) ~(offsets : int array) ~(dumm
       (fun e -> Bgn.enc1 pk c.drbg (Monomials.eval_monomial e offsets))
       pp.monomials.Monomials.vectors
   in
-  { values = enc_values;
-    count_ct;
-    monomial_cts;
-    pre_values = Array.map (fun chans -> Array.make (Array.length chans) None) enc_values;
-    pre_count = None }
+  make_row ~values:enc_values ~count_ct ~monomial_cts
 
 let bucket_keyword ~(column : int) ~(bucket : int) : string =
   Printf.sprintf "grp:%d:%d" column bucket
@@ -734,155 +755,141 @@ let aggregate ?(domains = 1) ?pool ?owned (et : enc_table) (tok : token) : agg_r
       in
       enumerate 0 [] [] []
   in
-  (* Public indicator coefficients per block vector: the constant term and
-     (monomial position, coefficient) pairs. Shared across joint buckets. *)
-  let block_coeffs =
+  (* Public indicator coefficients per block vector, as (slot, coeff)
+     terms over a row's pairing slots: slot 0 is the constant term
+     (M_0 = g), slot 1 + i monomial ciphertext i. Shared across joint
+     buckets. *)
+  let block_terms =
     Trace.with_span "indicator_coeffs" @@ fun () ->
     Array.init num_blocks (fun bi ->
         let j = block_vector ~bucket_size ~arity bi in
-        let terms = Polynomial.multivariate_indicator ~n ~bucket_size j in
-        let constant = ref Z.zero in
-        let monos = ref [] in
-        List.iter
+        List.map
           (fun { Polynomial.exponents; coeff } ->
-            if Array.for_all (fun e -> e = 0) exponents then constant := coeff
-            else begin
+            if Array.for_all (fun e -> e = 0) exponents then (0, coeff)
+            else
               let full =
                 Monomials.lift_exponents pp.monomials ~query_columns:tok.group_columns exponents
               in
-              monos := (Monomials.position pp.monomials full, coeff) :: !monos
-            end)
-          terms;
-        (!constant, !monos))
+              (1 + Monomials.position pp.monomials full, coeff))
+          (Polynomial.multivariate_indicator ~n ~bucket_size j))
   in
-  (* Unit shift S_r^{(j)} = Enc(1 iff offsets = j): a trivial encryption of
-     the constant term plus coefficient-weighted monomial ciphertexts. The
-     constant-term point a₀·g is shared by every row. *)
-  let curve = pk.Bgn.group.Sagma_pairing.Pairing.curve in
-  let block_const_points =
-    (* One batched inversion normalizes all B^arity scalar multiples. *)
-    Curve.mul_batch curve (Array.map (fun (constant, _) -> (constant, pk.Bgn.g)) block_coeffs)
+  (* The slots any block uses; [slot_pos] maps a slot to its index in
+     the per-bucket sums. *)
+  let slots = List.sort_uniq compare (List.concat_map (List.map fst) (Array.to_list block_terms)) in
+  let slot_pos = Array.make (1 + Monomials.count pp.monomials) (-1) in
+  List.iteri (fun i s -> slot_pos.(s) <- i) slots;
+  (* The query's left arguments, as indices into a row's pair_cache:
+     the value column's CRT channels, then count_ct when counts are
+     paired. *)
+  let num_channels = Crt.channels pp.channels in
+  let count_left = Config.num_value_columns config * num_channels in
+  let lefts =
+    (match tok.value_column with
+     | Some vcol -> List.init num_channels (fun ch -> (vcol * num_channels) + ch)
+     | None -> [])
+    @ match et.count_mode with Count_paired -> [ count_left ] | Count_level1 -> []
   in
-  let shift_of_row row_idx bi : Bgn.c1 =
-    let row = et.rows.(row_idx) in
-    let _, monos = block_coeffs.(bi) in
-    let acc = ref block_const_points.(bi) in
-    List.iter
-      (fun (pos, coeff) ->
-        acc := Bgn.add1 pk !acc (Bgn.smul1 pk coeff row.monomial_cts.(pos)))
-      monos;
-    !acc
+  let left_ct (row : enc_row) li =
+    if li = count_left then row.count_ct else row.values.(li / num_channels).(li mod num_channels)
   in
-  (* Precomputation-cache accessors for the table-side pairing arguments
-     (the row's value/count ciphertexts are the fixed left argument of
-     every multiplication they appear in). *)
-  let value_pre (row : enc_row) vcol ch : Bgn.precomp1 =
-    match row.pre_values.(vcol).(ch) with
-    | Some pre ->
-      Obs.incr m_precomp_hits;
-      pre
-    | None ->
-      let pre = Bgn.precompute1 pk row.values.(vcol).(ch) in
-      row.pre_values.(vcol).(ch) <- Some pre;
-      pre
-  in
-  let count_pre (row : enc_row) : Bgn.precomp1 =
-    match row.pre_count with
-    | Some pre ->
-      Obs.incr m_precomp_hits;
-      pre
-    | None ->
-      let pre = Bgn.precompute1 pk row.count_ct in
-      row.pre_count <- Some pre;
-      pre
+  (* Fill the chunk's missing cache slots for this query: per row and
+     left argument, one Miller-line precomputation paired with every
+     missing slot and then dropped, and one batched inversion for all
+     final exponentiations of the chunk. *)
+  let fill_chunk (chunk : int list) =
+    let jobs =
+      List.concat_map
+        (fun r ->
+          let row = et.rows.(r) in
+          List.filter_map
+            (fun li ->
+              match List.filter (fun s -> Option.is_none row.pair_cache.(li).(s)) slots with
+              | [] -> None
+              | missing -> Some (row, li, missing))
+            lefts)
+        chunk
+    in
+    let right (row : enc_row) s = if s = 0 then pk.Bgn.g else row.monomial_cts.(s - 1) in
+    let values =
+      Bgn.mul_each pk
+        (Array.of_list
+           (List.map
+              (fun (row, li, missing) -> (left_ct row li, Array.of_list (List.map (right row) missing)))
+              jobs))
+    in
+    List.iteri
+      (fun k (row, li, missing) ->
+        let cache = row.pair_cache.(li) in
+        List.iteri (fun i s -> cache.(s) <- Some values.(k).(i)) missing;
+        Obs.add m_cache_fills (List.length missing);
+        if !Obs.enabled then
+          Obs.gauge_add g_cache_bytes (List.fold_left (fun acc s -> acc + slot_bytes cache.(s)) 0 missing))
+      jobs
   in
   let touched = ref 0 in
-  (* Aggregate one joint bucket: compute every row's shift per block once
-     and feed it to both the sum and the count accumulators. Row chunks
-     are processed on the worker pool's domains (the paper parallelizes
-     query execution the same way). *)
+  (* Aggregate one joint bucket. Per row, only cache lookups and ⊕:
+     each (left, slot) is summed over the rows, and at level 1 the
+     row's monomial ciphertexts are added up for counting. Row chunks
+     run on the worker pool's domains (the paper parallelizes query
+     execution the same way); their partial sums are merged, then
+     every block scales them by its coefficients once. *)
   let aggregate_bucket chunk_pool (bucket_ids, rows) =
-    touched := !touched + List.length rows;
+    let num_rows = List.length rows in
+    touched := !touched + num_rows;
     Obs.incr m_agg_buckets;
-    Obs.add m_agg_rows (List.length rows);
-    if !Audit.enabled then Audit.rows_paired (List.length rows);
-    let num_channels = Crt.channels pp.channels in
-        (* Each (block, channel) accumulator is one product of pairings:
-           gather the chunk's (precomp, shift) pairs and hand the whole
-           batch to [Bgn.mul_many_pre] — one interleaved Miller loop and
-           one shared final exponentiation per accumulator, instead of
-           one final exponentiation (and, before the Jacobian rewrite,
-           ~|n| field inversions) per row. *)
-        let accumulate_chunk (chunk : int list) =
-          let sum_pairs =
-            Option.map
-              (fun _ -> Array.init num_blocks (fun _ -> Array.make num_channels []))
-              tok.value_column
-          in
-          let counts_l1 =
-            match et.count_mode with
-            | Count_level1 -> Some (Array.make num_blocks Bgn.zero1)
-            | Count_paired -> None
-          in
-          let count_pairs =
-            match et.count_mode with
-            | Count_paired -> Some (Array.make num_blocks [])
-            | Count_level1 -> None
-          in
-          List.iter
-            (fun r ->
-              for bi = 0 to num_blocks - 1 do
-                let s = shift_of_row r bi in
-                (match (sum_pairs, tok.value_column) with
-                 | Some acc, Some vcol ->
-                   for ch = 0 to num_channels - 1 do
-                     acc.(bi).(ch) <- (value_pre et.rows.(r) vcol ch, s) :: acc.(bi).(ch)
-                   done
-                 | _ -> ());
-                (match counts_l1 with
-                 | Some c -> c.(bi) <- Bgn.add1 pk c.(bi) s
-                 | None -> ());
-                (match count_pairs with
-                 | Some c -> c.(bi) <- (count_pre et.rows.(r), s) :: c.(bi)
-                 | None -> ())
-              done)
-            chunk;
-          let batch pairs = Bgn.mul_many_pre pk (List.rev pairs) in
-          ( Option.map (Array.map (Array.map batch)) sum_pairs,
-            counts_l1,
-            Option.map (Array.map batch) count_pairs )
-        in
-        (* The "chunk" span rides the submitting request's trace context
-           (Pool.submit captures it), so pooled chunk work shows up
-           under this bucket's pairing_loop span even when it ran on
-           another domain. Inline row work (no pool, or a bucket too
-           small to split) skips the extra span so the profiler
-           attributes its allocation to pairing_loop itself. *)
-        let accumulate_inline chunk =
-          Obs.observe_ms h_chunk_ms (fun () -> accumulate_chunk chunk)
-        in
-        let accumulate chunk = Trace.with_span "chunk" (fun () -> accumulate_inline chunk) in
-        let merge (s1, c1a, c1b) (s2, c2a, c2b) =
-          let merge_arr2 a b = Array.map2 (Array.map2 (Bgn.add2 pk)) a b in
-          ( (match (s1, s2) with
-             | Some a, Some b -> Some (merge_arr2 a b)
-             | a, None -> a
-             | None, b -> b),
-            (match (c1a, c2a) with
-             | Some a, Some b -> Some (Array.map2 (Bgn.add1 pk) a b)
-             | a, None -> a
-             | None, b -> b),
-            (match (c1b, c2b) with
-             | Some a, Some b -> Some (Array.map2 (Bgn.add2 pk) a b)
-             | a, None -> a
-             | None, b -> b) )
-        in
-    let sums, counts_l1, counts_l2 =
+    Obs.add m_agg_rows num_rows;
+    if !Audit.enabled then Audit.rows_paired num_rows;
+    let accumulate_chunk (chunk : int list) =
+      fill_chunk chunk;
+      let l2 = Array.make_matrix (List.length lefts) (List.length slots) Bgn.zero2 in
+      List.iteri
+        (fun i r ->
+          let row = et.rows.(r) in
+          List.iteri
+            (fun a li ->
+              let cache = row.pair_cache.(li) in
+              List.iteri
+                (fun si s ->
+                  let v = Option.get cache.(s) in
+                  l2.(a).(si) <- (if i = 0 then v else Bgn.add2 pk l2.(a).(si) v))
+                slots)
+            lefts)
+        chunk;
+      (* Level-1 counting sums the rows' monomial ciphertexts per slot
+         (slot 0, g, is added once per row when the bucket is scaled). *)
+      let l1 =
+        match et.count_mode with
+        | Count_level1 ->
+          Some
+            (Bgn.sum1_batch pk
+               (Array.of_list
+                  (List.map
+                     (fun s ->
+                       if s = 0 then []
+                       else List.map (fun r -> et.rows.(r).monomial_cts.(s - 1)) chunk)
+                     slots)))
+        | Count_paired -> None
+      in
+      (l2, l1)
+    in
+    (* The "chunk" span rides the submitting request's trace context
+       (Pool.submit captures it), so pooled chunk work shows up under
+       this bucket's pairing_loop span even when it ran on another
+       domain. Inline row work (no pool, or a bucket too small to
+       split) skips the extra span so the profiler attributes its
+       allocation to pairing_loop itself. *)
+    let accumulate_inline chunk = Obs.observe_ms h_chunk_ms (fun () -> accumulate_chunk chunk) in
+    let accumulate chunk = Trace.with_span "chunk" (fun () -> accumulate_inline chunk) in
+    let merge (a2, a1) (b2, b1) =
+      ( Array.map2 (Array.map2 (Bgn.add2 pk)) a2 b2,
+        match (a1, b1) with Some a, Some b -> Some (Array.map2 (Bgn.add1 pk) a b) | _ -> a1 )
+    in
+    let l2, l1 =
       (* The caller runs one chunk itself, so [workers] helpers give
          [workers + 1]-way parallelism; tiny buckets stay inline. *)
       let workers = match chunk_pool with Some p -> Pool.workers p | None -> 0 in
       let chunk_count = workers + 1 in
-      if workers = 0 || List.length rows < 2 * chunk_count then accumulate_inline rows
+      if workers = 0 || num_rows < 2 * chunk_count then accumulate_inline rows
       else begin
         (* Round-robin split keeps chunks balanced. *)
         let chunks = Array.make chunk_count [] in
@@ -897,7 +904,32 @@ let aggregate ?(domains = 1) ?pool ?owned (et : enc_table) (tok : token) : agg_r
         List.fold_left (fun acc f -> merge acc (Pool.await f)) first futures
       end
     in
-    { bucket_ids; group_size = List.length rows; blocks = { sums; counts_l1; counts_l2 } }
+    (* Block bi's aggregate is ⊕ over its terms (s, a_s) of a_s · sum_s. *)
+    let scale add smul sum_of bi =
+      match List.map (fun (s, k) -> smul pk k (sum_of s)) block_terms.(bi) with
+      | [] -> assert false
+      | x :: rest -> List.fold_left (add pk) x rest
+    in
+    let scale2 a = scale Bgn.add2 Bgn.smul2 (fun s -> l2.(a).(slot_pos.(s))) in
+    let sums =
+      Option.map
+        (fun _ -> Array.init num_blocks (fun bi -> Array.init num_channels (fun ch -> scale2 ch bi)))
+        tok.value_column
+    in
+    let counts_l2 =
+      match et.count_mode with
+      | Count_paired -> Some (Array.init num_blocks (scale2 (List.length lefts - 1)))
+      | Count_level1 -> None
+    in
+    let counts_l1 =
+      Option.map
+        (fun acc ->
+          let rows_g = Curve.mul pk.Bgn.group.Sagma_pairing.Pairing.curve (Z.of_int num_rows) pk.Bgn.g in
+          Array.init num_blocks
+            (scale Bgn.add1 Bgn.smul1 (fun s -> if s = 0 then rows_g else acc.(slot_pos.(s)))))
+        l1
+    in
+    { bucket_ids; group_size = num_rows; blocks = { sums; counts_l1; counts_l2 } }
   in
   (* A caller-supplied pool is shared and long-lived; otherwise
      [domains] > 1 gets a transient pool spanning every bucket of this

@@ -8,13 +8,14 @@
     over bucket identifiers and filter keywords.
 
     Query processing: the server locates each queried bucket's rows
-    through SSE, intersects them into joint buckets, derives every row's
-    unit-shift indicator S_r^(j) by evaluating public Lagrange
-    coefficients over the encrypted monomials (additive homomorphism
-    only), pairs it with the value/count ciphertexts — the scheme's
-    single ciphertext multiplication — and sums in the target group. The
-    client decrypts each aggregate with a bounded discrete log and
-    recombines CRT channels.
+    through SSE and intersects them into joint buckets. Algorithm 5
+    pairs each row's value/count ciphertexts — the scheme's single
+    ciphertext multiplication — with its unit-shift indicator S_r^(j),
+    public Lagrange coefficients evaluated over the encrypted monomials,
+    and sums in the target group; by bilinearity the server gets the
+    same element from per-row pairings with g and the monomials, cached
+    on the row, scaled once per bucket. The client decrypts each
+    aggregate with a bounded discrete log and recombines CRT channels.
 
     The server never sees a group value, only bucket identifiers: the
     leakage is exactly L of §4.2 (see {!Leakage}). *)
@@ -70,12 +71,17 @@ type enc_row = {
   values : Bgn.c1 array array;  (** k × channels: Enc(v_j mod d_c) *)
   count_ct : Bgn.c1;            (** Enc(1); Enc(0) for dummy rows *)
   monomial_cts : Bgn.c1 array;  (** Enc(Π offsetsᵉ) in storage order *)
-  pre_values : Bgn.precomp1 option array array;
-      (** lazily-filled pairing precomputation per value ciphertext;
-          shaped like [values], starts all-[None], never serialized *)
-  mutable pre_count : Bgn.precomp1 option;
-      (** dito for [count_ct] (paired-count mode) *)
+  pair_cache : Bgn.c2 option array array;
+      (** reduced pairings ê(left, M_s), filled lazily by {!aggregate}:
+          one array per left argument (the value ciphertexts in
+          row-major order, then [count_ct]), one slot per right argument
+          (M_0 = g, then [monomial_cts]); starts all-[None], never
+          serialized *)
 }
+
+val make_row :
+  values:Bgn.c1 array array -> count_ct:Bgn.c1 -> monomial_cts:Bgn.c1 array -> enc_row
+(** A row with an empty pairing cache. *)
 
 type count_mode =
   | Count_level1
@@ -111,6 +117,10 @@ type enc_table = {
 }
 (** What the server stores: semantically secure ciphertexts plus the SSE
     index — no keys. *)
+
+val pair_cache_bytes : enc_table -> int
+(** Heap bytes held by the filled pairing-cache slots of the table's
+    rows: rows × (k·c + 1) × (|monomials| + 1) F_p² elements at most. *)
 
 val enc_row_raw : client -> values:int array -> offsets:int array -> dummy:bool -> enc_row
 (** Algorithm 3 on pre-bucketized offsets (exposed for tests). *)
@@ -235,6 +245,12 @@ val aggregate :
   token ->
   agg_result
 (** Algorithm 5. Deliberately takes only public data — no keys.
+    Instead of pairing each row's value with a per-row shift, it sums
+    the row's cached pairings ê(v_r, M_s) per slot and scales each
+    bucket's sums by the indicator coefficients once (bilinearity); the
+    result is the same group element. A row's first query fills its
+    cache for the slots the query uses ([scheme.pair_cache.fills]);
+    later queries do no pairing for it.
     Row work within each joint bucket is split across worker domains
     (the paper's multi-core parallelization): pass [pool] to reuse a
     long-lived pool spawned once per process (the caller runs one chunk

@@ -195,13 +195,9 @@ let get_enc_row (s : W.source) : Scheme.enc_row =
   let values = W.get_array s (fun s -> W.get_array s get_point) in
   let count_ct = get_point s in
   let monomial_cts = W.get_array s get_point in
-  (* Precomputation caches are never on the wire: they are rebuilt
-     lazily on first aggregation over the decoded table. *)
-  { Scheme.values;
-    count_ct;
-    monomial_cts;
-    pre_values = Array.map (fun chs -> Array.make (Array.length chs) None) values;
-    pre_count = None }
+  (* Pairing caches are never on the wire: a decoded row starts empty
+     and fills on its first aggregation. *)
+  Scheme.make_row ~values ~count_ct ~monomial_cts
 
 let put_sse_index (s : W.sink) (i : Sse.index) : unit =
   W.put_u32 s i.Sse.entries;

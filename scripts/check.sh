@@ -23,6 +23,8 @@ SAGMA_PROP_SEED="sagma-fuzz-smoke" SAGMA_PROP_SCALE=100 \
   dune exec test/test_prop_bigint.exe
 SAGMA_PROP_SEED="sagma-fuzz-smoke" \
   dune exec test/test_prop_audit.exe
+SAGMA_PROP_SEED="sagma-fuzz-smoke" SAGMA_PROP_SCALE=200 \
+  dune exec test/test_prop_aggregate.exe
 
 echo "== security games smoke (pinned seed, reduced trials) =="
 # The adversary games (TESTING.md "Security games"): honest schemes must
@@ -117,8 +119,15 @@ grep -q "^ocaml_gc_heap_words " "$OBS_DIR/exposition.txt"
 grep -q "^ocaml_gc_minor_words_total " "$OBS_DIR/exposition.txt"
 # A traced query's reply must carry the EXPLAIN trailer: per-phase
 # timings plus the cost block derived from request-scoped counters.
+# Rows keep their pairings after their first query (the "smoke" table
+# is warm by now), so the traced query runs against a fresh upload:
+# its cost block shows the cold pairings (cost.bgn_mul) and the
+# allocation they cause.
+"$CLI" remote-upload --csv "$OBS_DIR/data.csv" --schema "salary:int,dept:str" \
+  --group-by dept --values salary --filters dept --threshold 1 \
+  --port "$OBS_PORT" --name smoke_cold --key-file "$OBS_DIR/cold.key"
 "$CLI" remote-query --sum salary --group-by dept --explain \
-  --port "$OBS_PORT" --name smoke --key-file "$OBS_DIR/sagma.key" \
+  --port "$OBS_PORT" --name smoke_cold --key-file "$OBS_DIR/cold.key" \
   > "$OBS_DIR/explain.out"
 grep -q "sales" "$OBS_DIR/explain.out"
 grep -q -- "-- explain (server trace " "$OBS_DIR/explain.out"

@@ -837,17 +837,22 @@ let config =
     ~value_columns:[ "salary" ] ~group_columns:[ "dept" ] ()
 
 (* Built with metrics disabled so setup/encryption costs don't pollute the
-   per-query counter assertions below. *)
+   per-query counter assertions below. Rows keep their pairing caches
+   across queries, so tests that count a cold query's pairings encrypt
+   a fresh table first. *)
 let client = Scheme.setup config ~domains:[ ("dept", dept_domain) ] (Sagma_crypto.Drbg.create "obs-tests")
 let enc = Scheme.encrypt_table client table
+let fresh_enc () = Scheme.encrypt_table client table
 
 let test_sum_matches_cost_model () =
+  let enc = fresh_enc () in
   with_metrics @@ fun () ->
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
   let rows = Scheme.query client enc q in
   Alcotest.(check int) "three groups" 3 (List.length rows);
-  (* §3.4: one ciphertext multiplication (pairing) per touched row, per
-     block of the joint bucket (B^arity = 2) and per CRT channel. *)
+  (* §3.4: a cold query pairs every touched row's value, per CRT
+     channel, with g and with each monomial the query uses — B^arity = 2
+     right arguments, one per block, as the per-row-shift form paired. *)
   let channels = Scheme.Crt.channels client.Scheme.pp.Scheme.channels in
   let expected_mul = 4 * 2 * channels in
   Alcotest.(check int) "bgn.mul = rows × blocks × channels" expected_mul
@@ -863,10 +868,32 @@ let test_sum_matches_cost_model () =
      per-step field inversions of the old affine Miller loop are gone. *)
   Alcotest.(check int) "pairing.pairings matches bgn.mul" expected_mul
     (Metrics.value (Metrics.counter "pairing.pairings"));
-  Alcotest.(check bool) "aggregation uses pairing_prod" true
+  Alcotest.(check bool) "aggregation calls the batched Miller engine" true
     (Metrics.value (Metrics.counter "pairing.prod_calls") > 0);
   Alcotest.(check bool) "invm collapsed below one per pairing" true
-    (Metrics.value (Metrics.counter "bigint.invm") < expected_mul)
+    (Metrics.value (Metrics.counter "bigint.invm") < expected_mul);
+  Alcotest.(check int) "every pairing fills one cache slot" expected_mul
+    (Metrics.value (Metrics.counter "scheme.pair_cache.fills"));
+  Alcotest.(check bool) "cache bytes gauge grew" true
+    (Metrics.gauge_value (Metrics.gauge "scheme.pair_cache.bytes") > 0);
+  Alcotest.(check int) "gauge = the table's cache bytes"
+    (Scheme.pair_cache_bytes enc)
+    (Metrics.gauge_value (Metrics.gauge "scheme.pair_cache.bytes"));
+  let text = Export.prometheus (Metrics.snapshot ()) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " exported") true (contains text (Export.metric_name name)))
+    [ "scheme.pair_cache.fills"; "scheme.pair_cache.bytes" ];
+  (* An identical second query finds every pairing cached. *)
+  Metrics.reset ();
+  let again = Scheme.query client enc q in
+  Alcotest.(check bool) "warm answer unchanged" true (again = rows);
+  Alcotest.(check int) "warm query: no pairings" 0
+    (Metrics.value (Metrics.counter "pairing.pairings"));
+  Alcotest.(check int) "warm query: no bgn.mul" 0 (Metrics.value (Metrics.counter "bgn.mul"));
+  Alcotest.(check int) "warm query: no fills" 0
+    (Metrics.value (Metrics.counter "scheme.pair_cache.fills"));
+  Alcotest.(check int) "rows still walked" 4 (Metrics.value (Metrics.counter "scheme.agg.rows"))
 
 let test_count_needs_no_pairings () =
   with_metrics @@ fun () ->
@@ -893,11 +920,13 @@ let test_query_trace_shape () =
     (span_names agg.Trace.children)
 
 let test_explain_cost_matches_model () =
+  let enc = fresh_enc () in
   with_metrics @@ fun () ->
   (* The per-request cost scope must reproduce the §3.4 analytic model:
      bgn_mul = rows × blocks per joint bucket (B^arity = 2) × CRT
-     channels, exactly what the global counters already verify — but
-     here as a request-scoped delta, the number an EXPLAIN block ships. *)
+     channels on a cold table, exactly what the global counters already
+     verify — but here as a request-scoped delta, the number an EXPLAIN
+     block ships. *)
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
   let rows, rt = Trace.with_request_full (fun () -> Scheme.query client enc q) in
   Alcotest.(check int) "three groups" 3 (List.length rows);
@@ -925,21 +954,22 @@ let test_explain_cost_matches_model () =
 let test_request_gc_delta () =
   with_metrics @@ fun () ->
   (* The per-request GC differential must be real allocation, bounded by
-     an outer Gc.quick_stat differential taken around the same request:
+     an outer Gc.minor_words differential taken around the same request:
      the EXPLAIN gc block can't claim more minor words than the whole
      enclosing region allocated. *)
   let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
-  let before = Gc.quick_stat () in
+  let before = Gc.minor_words () in
   let rows, rt = Trace.with_request_full (fun () -> Scheme.query client enc q) in
-  let after = Gc.quick_stat () in
+  let after = Gc.minor_words () in
   Alcotest.(check int) "three groups" 3 (List.length rows);
-  let outer = int_of_float (after.Gc.minor_words -. before.Gc.minor_words) in
+  let outer = int_of_float (after -. before) in
   let inner = rt.Trace.r_gc.Trace.gc_minor_words in
   Alcotest.(check bool) "SUM allocates nonzero minor words" true (inner > 0);
   Alcotest.(check bool) "request delta bounded by the outer differential" true (inner <= outer);
   Alcotest.(check bool) "heap size recorded" true (rt.Trace.r_gc.Trace.gc_heap_words > 0)
 
 let test_prof_attributes_pairing_loop () =
+  let enc = fresh_enc () in
   with_metrics @@ fun () ->
   Prof.reset ();
   Prof.start ();
@@ -951,8 +981,8 @@ let test_prof_attributes_pairing_loop () =
       Alcotest.(check bool) "profiler active" true (Prof.active ());
       let q = Query.make ~group_by:[ "dept" ] (Query.Sum "salary") in
       let _, rt = Trace.with_request_full (fun () -> Scheme.query client enc q) in
-      (* A SUM is pairings per row × block × channel: the pairing loop
-         must dominate the request's allocation table. *)
+      (* A cold SUM is pairings per row × block × channel: the pairing
+         loop must dominate the request's allocation table. *)
       (match rt.Trace.r_alloc with
        | (top, w) :: _ ->
          Alcotest.(check string) "pairing_loop dominates the request" "pairing_loop" top;

@@ -190,17 +190,42 @@ let t_prod_additive = R.test ~count:8 ~name:"e(P+Q, R) via one pairing_prod call
       in
       Pairing.gt_equal lhs (e (Curve.add params p q) r))
 
-let t_mul_batch = R.test ~count:10 ~name:"mul_batch agrees with scalar mul"
+let t_sum_batch = R.test ~count:10 ~name:"sum_batch agrees with folded addition"
     (R.arbitrary
-       ~print:(fun pairs ->
-         String.concat "; "
-           (List.map (fun (k, pt) -> Printf.sprintf "%s·%s" (Z.to_string k) (Curve.to_string pt)) pairs))
-       (Gen.list ~max_len:5 (Gen.pair scalar_gen point_gen)))
-    (fun pairs ->
-      let arr = Array.of_list pairs in
-      let batch = Curve.mul_batch params arr in
-      Array.length batch = Array.length arr
-      && Array.for_all2 (fun (k, pt) b -> Curve.equal b (Curve.mul params k pt)) arr batch)
+       ~print:(fun lists ->
+         String.concat " | " (List.map (fun l -> String.concat "; " (List.map Curve.to_string l)) lists))
+       (Gen.list ~max_len:4 (Gen.list ~max_len:5 point_gen)))
+    (fun lists ->
+      (* −P then P cancels through the vertical branch of the mixed
+         addition; the running sum P then meets P, the doubling one. *)
+      let lists =
+        List.map (fun l -> match l with p :: _ -> Curve.neg params p :: p :: p :: l | [] -> l) lists
+      in
+      let arr = Array.of_list lists in
+      let batch = Curve.sum_batch params arr in
+      Array.for_all2
+        (fun l b -> Curve.equal b (List.fold_left (Curve.add params) Curve.Infinity l))
+        arr batch)
+
+(* Separate pairings against the affine reference, on the composite-order
+   group with small-order points in both positions and infinities mixed
+   in: the Miller edge cases and the batched final exponentiation. *)
+let t_pairing_many = R.test ~count:4 ~name:"pairing_many equals affine pairings"
+    (R.arbitrary ~print:(fun s -> Printf.sprintf "%S" s) (Gen.bytes_size (Gen.return 16)))
+    (fun seed ->
+      let rng = Sagma_crypto.Drbg.rng (Sagma_crypto.Drbg.create ("many|" ^ seed)) in
+      let cp = group_comp.Pairing.curve in
+      let pt () = Pairing.random_order_n_point group_comp rng in
+      let p = pt () and q = pt () in
+      let lefts = [| p; Curve.mul cp q1 p; Curve.Infinity |] in
+      let rights = [| q; Curve.mul cp q2 q; Curve.Infinity; pt () |] in
+      let many = Pairing.pairing_many group_comp (Array.map (fun l -> (l, rights)) lefts) in
+      Array.for_all2
+        (fun l row ->
+          Array.for_all2
+            (fun r v -> Pairing.gt_equal v (Pairing.pairing_affine group_comp l r))
+            rights row)
+        lefts many)
 
 let t_composite_prod = R.test ~count:4 ~name:"composite order: fast equals affine on projected points"
     (R.arbitrary
@@ -263,5 +288,6 @@ let () =
     [ t_closure; t_add_comm; t_add_assoc; t_identity; t_double; t_mul_distrib; t_mul_assoc;
       t_mul_small; t_order; t_bilinear; t_additive; t_symmetric; t_scalar_slides;
       t_nondegenerate; t_infinity; t_target_order; t_new_vs_affine; t_precomp_reuse;
-      t_prod_product; t_prod_infinity; t_prod_additive; t_mul_batch; t_composite_prod;
+      t_prod_product; t_prod_infinity; t_prod_additive; t_sum_batch;
+      t_pairing_many; t_composite_prod;
       t_gt_ops; t_composite ]

@@ -149,6 +149,38 @@ let test_server_handler () =
    | P.Failed _ -> ()
    | _ -> Alcotest.fail "double drop")
 
+(* The scheme.pair_cache.bytes gauge follows the server's tables: an
+   aggregation's fills raise it, and replacing or dropping the table
+   gives its bytes back. *)
+let test_server_pair_cache_gauge () =
+  let module M = Sagma_obs.Metrics in
+  let gauge () = M.gauge_value (M.gauge "scheme.pair_cache.bytes") in
+  let fresh () = Serialize.enc_table_of_string (Serialize.enc_table_to_string enc) in
+  Fun.protect
+    ~finally:(fun () ->
+      M.set_enabled false;
+      M.reset ())
+    (fun () ->
+      M.reset ();
+      M.set_enabled true;
+      let state = Server.create () in
+      let tok = Scheme.token client query in
+      let upload t = ignore (Server.handle state (P.Upload { name = "t"; table = t })) in
+      let aggregate () = ignore (Server.handle state (P.Aggregate { name = "t"; token = tok })) in
+      let t = fresh () in
+      upload t;
+      aggregate ();
+      Alcotest.(check bool) "fills raise the gauge" true (gauge () > 0);
+      Alcotest.(check int) "gauge = the table's cache bytes" (Scheme.pair_cache_bytes t) (gauge ());
+      aggregate ();
+      Alcotest.(check int) "a warm query adds nothing" (Scheme.pair_cache_bytes t) (gauge ());
+      upload (fresh ());
+      Alcotest.(check int) "replacing the table releases its bytes" 0 (gauge ());
+      aggregate ();
+      Alcotest.(check bool) "refilled" true (gauge () > 0);
+      ignore (Server.handle state (P.Drop "t"));
+      Alcotest.(check int) "dropping the table releases its bytes" 0 (gauge ()))
+
 let test_server_remote_append () =
   let state = Server.create () in
   ignore (Server.handle state (P.Upload { name = "t"; table = enc }));
@@ -1446,6 +1478,7 @@ let () =
       ( "server",
         [ Alcotest.test_case "handler" `Quick test_server_handler;
           Alcotest.test_case "remote append" `Quick test_server_remote_append;
+          Alcotest.test_case "pair cache gauge" `Quick test_server_pair_cache_gauge;
           Alcotest.test_case "malformed request" `Quick test_malformed_request ] );
       ( "versioning",
         [ Alcotest.test_case "frame prefix" `Quick test_version_prefix;
