@@ -1019,8 +1019,8 @@ let bench_pr5 () =
       (fun () ->
         with_server ~workers ~port:7465 (Rpc_server.handle_encoded (state ~trace_sample:1 ())) (fun () ->
             let timing = drive_clients ~port:7465 ~clients ~requests ~think_s:0. req in
-            (* One more request through the explicit v4 path, to confirm
-               the EXPLAIN trailer rides along when asked for. *)
+            (* One more request with a client-forced trace context, to
+               confirm the EXPLAIN trailer rides along when asked for. *)
             let fd = Transport.connect ~port:7465 () in
             let explain_ok =
               Fun.protect

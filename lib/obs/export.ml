@@ -76,7 +76,7 @@ let with_label (labels : string) (extra : string) : string =
 
 (* [raw] samples carry their final exposition names (the conventional
    process-level families "ocaml_gc_*" / "process_*" from
-   {!Prof.gc_samples}/{!Prof.process_samples}); they bypass the sagma
+   the Stats gc section and {!Prof.process_samples}); they bypass the sagma
    namespace. Names ending in "_total" are typed counter, everything
    else gauge. *)
 let prometheus ?uptime_s ?(raw : (string * float) list = []) (s : Metrics.snapshot) : string =

@@ -194,9 +194,8 @@ let listen_and_serve ?(backlog = 64) ?after_request ?(workers = 0) ?(max_conns =
       (fun () ->
         try serve_connection ?after_request ~max_frame ~stop handler conn with _ -> ())
   in
-  (* Over the limit: answer with a structured Busy failure (framed at
-     the current protocol version — the request is unread, so the
-     peer's version is unknown) and close. A short send deadline keeps
+  (* Over the limit: answer with a structured Busy failure (the request
+     is left unread) and close. A short send deadline keeps
      a hostile peer from parking the accept loop here. *)
   let shed conn peer =
     Obs.incr m_rejected;

@@ -112,8 +112,8 @@ grep -q "^sagma_scheme_agg_rows_total " "$OBS_DIR/exposition.txt"
 grep -q 'sagma_proto_request_ms_bucket{le="+Inf"}' "$OBS_DIR/exposition.txt"
 grep -q "^sagma_proto_request_ms_p50 " "$OBS_DIR/exposition.txt"
 grep -q "^sagma_proto_request_ms_p99 " "$OBS_DIR/exposition.txt"
-# v5 additions: server uptime and the process-level GC gauges derived
-# from the Stats reply's gc section.
+# Server uptime and the process-level GC gauges derived from the Stats
+# reply's gc section.
 grep -q "^sagma_uptime_seconds " "$OBS_DIR/exposition.txt"
 grep -q "^ocaml_gc_heap_words " "$OBS_DIR/exposition.txt"
 grep -q "^ocaml_gc_minor_words_total " "$OBS_DIR/exposition.txt"
@@ -134,7 +134,7 @@ grep -q -- "-- explain (server trace " "$OBS_DIR/explain.out"
 grep -q "cost.agg_rows" "$OBS_DIR/explain.out"
 grep -q "cost.bgn_mul" "$OBS_DIR/explain.out"
 # With --profile on the server, the trailer also carries the request's
-# GC differential (v5).
+# GC differential.
 grep -q "gc.minor_words" "$OBS_DIR/explain.out"
 # The live dashboard's script mode: one frame against the same server.
 "$CLI" top --once --port "$OBS_PORT" > "$OBS_DIR/top.out"
@@ -162,6 +162,34 @@ assert all(e["dur"] >= 0 for e in xs)
 print(f"trace export OK: {len(roots)} request tree(s), {len(xs)} spans")' \
   "$OBS_DIR/trace.json"
 cp "$OBS_DIR/trace.json" sagma_trace.json
+# Wire probe: there is one protocol version. Frames claiming v6 or v1
+# get a v7-framed Failed (tag 3) with code 3 (version-unsupported), a
+# frame without the magic gets code 1 (bad-request), and the same
+# connection still serves a v7 List_tables afterwards.
+python3 - "$OBS_PORT" <<'EOF'
+import socket, struct, sys
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=10)
+def recv_exact(n):
+    buf = b""
+    while len(buf) < n:
+        chunk = s.recv(n - len(buf))
+        assert chunk, "server closed the connection"
+        buf += chunk
+    return buf
+def call(payload):
+    s.sendall(struct.pack(">I", len(payload)) + payload)
+    (n,) = struct.unpack(">I", recv_exact(4))
+    return recv_exact(n)
+for frame in (b"SG\x06\x00\x03", b"SG\x01\x03"):
+    r = call(frame)
+    assert r[:3] == b"SG\x07" and r[3] == 3 and r[4] == 3, (frame, r)
+r = call(b"XXjunk")
+assert r[:3] == b"SG\x07" and r[3] == 3 and r[4] == 1, r
+r = call(b"SG\x07\x00\x03")
+assert r[:3] == b"SG\x07" and r[3] == 1, r
+s.close()
+print("wire probe OK: foreign versions refused at v7, server still serving")
+EOF
 # The audit ran and flagged nothing.
 "$CLI" stats --port "$OBS_PORT" | grep "^audit: " | grep -q " failures=0"
 # The structured log is non-empty JSON lines including request events
@@ -185,7 +213,7 @@ trap - EXIT
 rm -rf "$OBS_DIR"
 echo "observability smoke OK"
 
-echo "== cluster smoke (2 shards + coordinator, v6 scatter-gather, v7 health) =="
+echo "== cluster smoke (2 shards + coordinator, scatter-gather, fleet health) =="
 CL_DIR=$(mktemp -d)
 SHARD0_PORT=7501
 SHARD1_PORT=7502
@@ -228,7 +256,7 @@ grep -q "coordinator over 2 shards" "$CL_DIR/coord.out"
   > "$CL_DIR/query.out"
 grep -q "sales" "$CL_DIR/query.out"
 grep -q "4000" "$CL_DIR/query.out"
-# The v6 Stats topology line names each node's role.
+# The Stats topology line names each node's role.
 "$CLI" stats --port "$COORD_PORT" | grep -q "^topology: coordinator over 2 shards"
 "$CLI" stats --port "$SHARD0_PORT" | grep -q "^topology: shard 0/2"
 # The distributed request renders as ONE stitched span tree on the
@@ -245,7 +273,7 @@ remote = [n for n in names if n.startswith("remote:")]
 assert remote, f"no grafted shard spans in {names}"
 print(f"cluster trace OK: stitched spans {sorted(names)}")' \
   "$CL_DIR/cluster_trace.json"
-# --- v7 fleet health: probe, kill a shard, alert, recover -------------
+# --- fleet health: probe, kill a shard, alert, recover ----------------
 # With both shards up the coordinator's health report is "ok" and the
 # health subcommand exits zero.
 "$CLI" health --port "$COORD_PORT" > "$CL_DIR/health_ok.out"
